@@ -102,7 +102,9 @@ bench-gate:
 
 # Run each native fuzz target briefly (go test allows one -fuzz
 # pattern per invocation). Seed corpora live under testdata/fuzz and
-# are also replayed by plain `make test`. The last four are the SSA
+# are also replayed by plain `make test`. FuzzModelReuse checks that a
+# long-lived SAT solver answering queries from its last model agrees
+# with a fresh solver per query. The last four are the SSA
 # differential oracles: end-to-end byte identity of checker output
 # keyed on SSASharpened, plus per-pass execution equivalence for SCCP,
 # loop-invariant UB hoisting, and cross-block GVN.
@@ -111,6 +113,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzPreprocess$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bv -run '^$$' -fuzz '^FuzzTermConstruction$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzModelReuse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSSADifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzSCCPDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzHoistDifferential$$' -fuzztime $(FUZZTIME)

@@ -116,33 +116,42 @@ func (b *blaster) encITE(c, x, y sat.Lit) sat.Lit {
 	return z
 }
 
-// encFullAdder returns (sum, carry) for x + y + cin.
+// encFullAdder returns (sum, carry) for x + y + cin. The half-sum
+// x ⊕ y is encoded once and feeds both outputs.
 func (b *blaster) encFullAdder(x, y, cin sat.Lit) (sum, cout sat.Lit) {
-	sum = b.encXor(b.encXor(x, y), cin)
-	cout = b.encOr(b.encAnd(x, y), b.encAnd(cin, b.encXor(x, y)))
+	h := b.encXor(x, y)
+	sum = b.encXor(h, cin)
+	cout = b.encOr(b.encAnd(x, y), b.encAnd(cin, h))
 	return sum, cout
 }
 
-// addVec returns x + y + cin as a bit vector of the same width.
-func (b *blaster) addVec(x, y []sat.Lit, cin sat.Lit) []sat.Lit {
+// addVec returns x + y + cin as a bit vector of the same width, and
+// the carry out of the top bit.
+func (b *blaster) addVec(x, y []sat.Lit, cin sat.Lit) ([]sat.Lit, sat.Lit) {
 	out := make([]sat.Lit, len(x))
 	c := cin
 	for i := range x {
 		out[i], c = b.encFullAdder(x[i], y[i], c)
 	}
-	return out
+	return out, c
 }
 
-func (b *blaster) negVec(x []sat.Lit) []sat.Lit {
+// notVec returns the bitwise complement of x; it costs no clauses.
+func notVec(x []sat.Lit) []sat.Lit {
 	inv := make([]sat.Lit, len(x))
 	for i, l := range x {
 		inv[i] = l.Not()
 	}
+	return inv
+}
+
+func (b *blaster) negVec(x []sat.Lit) []sat.Lit {
 	zero := make([]sat.Lit, len(x))
 	for i := range zero {
 		zero[i] = b.litFalse
 	}
-	return b.addVec(inv, zero, b.litTrue)
+	out, _ := b.addVec(notVec(x), zero, b.litTrue)
+	return out
 }
 
 // ult returns the literal for unsigned x < y.
@@ -202,7 +211,7 @@ func (b *blaster) mulVec(x, y []sat.Lit) []sat.Lit {
 		for j := 0; i+j < n; j++ {
 			part[i+j] = b.encAnd(x[j], y[i])
 		}
-		acc = b.addVec(acc, part, b.litFalse)
+		acc, _ = b.addVec(acc, part, b.litFalse)
 	}
 	return acc
 }
@@ -210,8 +219,17 @@ func (b *blaster) mulVec(x, y []sat.Lit) []sat.Lit {
 // udivurem returns (quotient, remainder) of unsigned division by
 // restoring long division. Division by zero yields q=all-ones, r=x
 // (SMT-LIB semantics), enforced with an ITE on the zero test.
+//
+// Each of the n stages shifts the next dividend bit into the partial
+// remainder and subtracts y when rem ≥ y. The encoding keeps a stage
+// to one adder and one multiplexer: ¬y is formed once (negation is
+// free on literals), rem - y is rem + ¬y + 1, and rem ≥ y is exactly
+// the carry out of that sum, so no separate comparator is needed. The
+// partial remainder entering a stage is below 2^(n-1), so the shift
+// never drops a set bit.
 func (b *blaster) udivurem(x, y []sat.Lit) (q, r []sat.Lit) {
 	n := len(x)
+	notY := notVec(y)
 	rem := make([]sat.Lit, n)
 	for i := range rem {
 		rem[i] = b.litFalse
@@ -221,8 +239,7 @@ func (b *blaster) udivurem(x, y []sat.Lit) (q, r []sat.Lit) {
 		// rem = rem << 1 | x[i]
 		rem = append([]sat.Lit{x[i]}, rem[:n-1]...)
 		// if rem >= y { rem -= y; q[i] = 1 }
-		ge := b.ult(rem, y).Not()
-		sub := b.addVec(rem, b.negVec(y), b.litFalse)
+		sub, ge := b.addVec(rem, notY, b.litTrue)
 		rem = b.iteVec(ge, sub, rem)
 		q[i] = ge
 	}
@@ -310,11 +327,7 @@ func (b *blaster) blast(bld *Builder, t *Term) []sat.Lit {
 			out[i] = b.fresh()
 		}
 	case OpNot:
-		x := b.blast(bld, t.args[0])
-		out = make([]sat.Lit, len(x))
-		for i, l := range x {
-			out[i] = l.Not()
-		}
+		out = notVec(b.blast(bld, t.args[0]))
 	case OpNeg:
 		out = b.negVec(b.blast(bld, t.args[0]))
 	case OpAnd, OpOr, OpXor:
@@ -332,14 +345,9 @@ func (b *blaster) blast(bld *Builder, t *Term) []sat.Lit {
 			}
 		}
 	case OpAdd:
-		out = b.addVec(b.blast(bld, t.args[0]), b.blast(bld, t.args[1]), b.litFalse)
+		out, _ = b.addVec(b.blast(bld, t.args[0]), b.blast(bld, t.args[1]), b.litFalse)
 	case OpSub:
-		y := b.blast(bld, t.args[1])
-		inv := make([]sat.Lit, len(y))
-		for i, l := range y {
-			inv[i] = l.Not()
-		}
-		out = b.addVec(b.blast(bld, t.args[0]), inv, b.litTrue)
+		out, _ = b.addVec(b.blast(bld, t.args[0]), notVec(b.blast(bld, t.args[1])), b.litTrue)
 	case OpMul:
 		out = b.mulVec(b.blast(bld, t.args[0]), b.blast(bld, t.args[1]))
 	case OpUDiv:

@@ -196,6 +196,17 @@ func (s *Session) LearntsDropped() int64 {
 	return n
 }
 
+// ModelReuses returns the queries the incremental SAT core answered
+// from its previous model without search (see sat.Solver.SolveAssuming).
+// It exists for tests and is deliberately not a core.Stats counter. A
+// Scratch session never reuses: each query's solver starts empty.
+func (s *Session) ModelReuses() int64 {
+	if s.inc == nil {
+		return 0
+	}
+	return s.inc.sat.ModelReuses
+}
+
 // Stats reports sizes of the SAT instance behind the last query.
 func (s *Session) Stats() (vars, clauses int) {
 	if s.cur == nil {

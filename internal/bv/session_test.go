@@ -56,6 +56,16 @@ func TestSessionIncrementalAmortizesBlasting(t *testing.T) {
 	if scr.LearntsReused != 0 {
 		t.Errorf("scratch reused %d learned clauses, want 0", scr.LearntsReused)
 	}
+	// The last two queries blast nothing new and hold in query 2's
+	// model, so the incremental core answers them from it (the model
+	// checks above ran against the reused model at query 3). A scratch
+	// solver has no earlier model to reuse.
+	if got := inc.ModelReuses(); got != 2 {
+		t.Errorf("incremental model reuses %d, want 2", got)
+	}
+	if got := scr.ModelReuses(); got != 0 {
+		t.Errorf("scratch model reuses %d, want 0", got)
+	}
 }
 
 // TestSessionUnsatCoreMatchesScratch: SolveCore verdicts and fast-path

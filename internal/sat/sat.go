@@ -113,6 +113,7 @@ type Solver struct {
 	order        *varHeap
 	seen         []bool
 	model        []lbool
+	modelCurrent bool  // model satisfies the database as it stands; NewVar and AddClause clear it
 	conflCore    []Lit // failed assumptions after Unsat under assumptions
 	ok           bool  // false once the clause DB is unsat at level 0
 	numAssumed   int   // decision levels occupied by assumptions
@@ -123,6 +124,9 @@ type Solver struct {
 	// with NumLearnts it quantifies how much work an incremental caller
 	// amortizes across queries.
 	Solves int64
+	// ModelReuses counts SolveAssuming calls answered Sat from the
+	// previous model without search (see SolveAssuming).
+	ModelReuses int64
 	// Ctx, if non-nil, is polled during search (every few hundred
 	// conflicts, and between restarts): once it is cancelled or past
 	// its deadline, the Solve call returns Unknown promptly. It is the
@@ -206,6 +210,7 @@ func New() *Solver {
 func (s *Solver) NewVar() Var {
 	v := Var(s.nVars)
 	s.nVars++
+	s.modelCurrent = false
 	s.watches = append(s.watches, nil, nil)
 	s.assign = append(s.assign, lUndef)
 	s.info = append(s.info, varInfo{})
@@ -240,6 +245,7 @@ func (s *Solver) value(l Lit) lbool {
 // It returns false if the clause database is already unsatisfiable.
 // Adding an empty clause makes the database unsatisfiable.
 func (s *Solver) AddClause(lits ...Lit) bool {
+	s.modelCurrent = false
 	if !s.ok {
 		return false
 	}
@@ -675,6 +681,17 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 // assumptions, FailedAssumptions returns a subset of the assumptions
 // sufficient for unsatisfiability (the final conflict clause expressed
 // over the assumptions).
+//
+// A query whose assumptions all hold in the last model is answered Sat
+// from that model, with no search, provided no variable or clause has
+// been added since the model was found (any NewVar or AddClause
+// disables reuse until the next search finds a model). This is sound
+// because the model satisfies every problem clause, and everything
+// else the database holds — learned clauses, learned units, and the
+// clauses reduceDB and TrimLearnts drop — is implied by the problem
+// clauses. Incremental callers hit this often: a query that only
+// narrows or repeats an earlier satisfiable one needs no new model.
+// ModelReuses counts these answers.
 func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 	s.Solves++
 	if !s.ok {
@@ -687,6 +704,11 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 		// query instead of a search restart.
 		s.conflCore = nil
 		return Unknown
+	}
+	if s.modelCurrent && s.modelSatisfies(assumptions) {
+		s.ModelReuses++
+		s.conflCore = nil
+		return Sat
 	}
 	defer func() {
 		s.backtrackTo(0)
@@ -807,6 +829,7 @@ func (s *Solver) search(assumptions []Lit, budget, conflictsAtStart, checkEvery 
 		if next == -1 {
 			// All variables assigned: model found.
 			s.model = append(s.model[:0], s.assign...)
+			s.modelCurrent = true
 			return Sat
 		}
 		s.newDecisionLevel()
@@ -814,51 +837,29 @@ func (s *Solver) search(assumptions []Lit, budget, conflictsAtStart, checkEvery 
 	}
 }
 
+// modelSatisfies reports whether every assumption is true in the last
+// model.
+func (s *Solver) modelSatisfies(assumptions []Lit) bool {
+	for _, a := range assumptions {
+		want := lTrue
+		if a.Neg() {
+			want = lFalse
+		}
+		if s.model[a.Var()] != want {
+			return false
+		}
+	}
+	return true
+}
+
 // analyzeFinal computes the subset of assumptions responsible for a
 // conflict while all decisions are assumptions.
 func (s *Solver) analyzeFinal(confl *clause, assumptions []Lit) {
-	isAssumption := make(map[Lit]bool, len(assumptions))
-	for _, a := range assumptions {
-		isAssumption[a] = true
+	touched := s.touchedBuf[:0]
+	for _, q := range confl.lits {
+		touched = s.markFinal(q.Var(), touched)
 	}
-	core := map[Lit]bool{}
-	var mark func(c *clause)
-	seen := make([]bool, s.nVars)
-	var stack []Var
-	push := func(l Lit) {
-		v := l.Var()
-		if !seen[v] && s.info[v].level > 0 {
-			seen[v] = true
-			stack = append(stack, v)
-		}
-	}
-	mark = func(c *clause) {
-		for _, q := range c.lits {
-			push(q)
-		}
-	}
-	mark(confl)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		r := s.info[v].reason
-		if r == nil {
-			// Decision (assumption) variable.
-			for _, a := range assumptions {
-				if a.Var() == v {
-					core[a] = true
-				}
-			}
-			continue
-		}
-		mark(r)
-	}
-	s.conflCore = s.conflCore[:0]
-	for _, a := range assumptions {
-		if core[a] {
-			s.conflCore = append(s.conflCore, a)
-		}
-	}
+	s.collectFinal(touched, assumptions, -1)
 }
 
 // finalFromAssumption handles the case where an assumption is already
@@ -877,35 +878,46 @@ func (s *Solver) finalFromAssumption(a Lit, assumptions []Lit) {
 		}
 		return
 	}
-	seen := make([]bool, s.nVars)
-	stack := []Var{v}
-	seen[v] = true
-	core := map[Lit]bool{a: true}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		r := s.info[u].reason
-		if r == nil {
-			for _, b := range assumptions {
-				if b.Var() == u {
-					core[b] = true
-				}
-			}
-			continue
-		}
-		for _, q := range r.lits {
-			w := q.Var()
-			if !seen[w] && s.info[w].level > 0 {
-				seen[w] = true
-				stack = append(stack, w)
+	s.seen[v] = true
+	s.collectFinal(append(s.touchedBuf[:0], v), assumptions, a)
+}
+
+// markFinal marks v for the final-conflict walk unless it is already
+// marked or was assigned at level 0, and returns the grown worklist.
+func (s *Solver) markFinal(v Var, touched []Var) []Var {
+	if !s.seen[v] && s.info[v].level > 0 {
+		s.seen[v] = true
+		touched = append(touched, v)
+	}
+	return touched
+}
+
+// collectFinal closes the marked set touched (whose variables have
+// their seen flags set) under reasons, then sets conflCore to the
+// assumptions that are a, if a is not -1, or whose variable the walk
+// reached as a decision — in assumption order. Every decision below
+// the conflict is an assumption, so the reached decisions are the
+// responsible ones. The seen flags are cleared on return, and touched
+// doubles as the walk's worklist, so the analysis allocates only when
+// the shared buffer must grow.
+func (s *Solver) collectFinal(touched []Var, assumptions []Lit, a Lit) {
+	for i := 0; i < len(touched); i++ {
+		if r := s.info[touched[i]].reason; r != nil {
+			for _, q := range r.lits {
+				touched = s.markFinal(q.Var(), touched)
 			}
 		}
 	}
+	s.conflCore = s.conflCore[:0]
 	for _, b := range assumptions {
-		if core[b] {
+		if v := b.Var(); b == a || s.seen[v] && s.info[v].reason == nil {
 			s.conflCore = append(s.conflCore, b)
 		}
 	}
+	for _, v := range touched {
+		s.seen[v] = false
+	}
+	s.touchedBuf = touched
 }
 
 // ModelValue returns the value of v in the most recent satisfying

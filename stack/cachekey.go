@@ -31,12 +31,16 @@ import (
 	"repro/stack/cache"
 )
 
-// entrySchemaVersion versions the JSON payload encoding of cached
-// entries. It is part of the cache key, so a codec change cleanly
-// misses every entry written by older code — in the memory tier as
-// well as on disk (the disk tier additionally versions its container
-// format; see cache.DiskSchemaVersion).
-const entrySchemaVersion = 1
+// entrySchemaVersion versions cached entries: the JSON payload
+// encoding, and also the checker output a payload holds. It is part of
+// the cache key, so a codec change — or a checker change that alters
+// what a cold run reports for the same source and options, such as a
+// new solver encoding moving UB-set attribution — cleanly misses every
+// entry written by older code, in the memory tier as well as on disk
+// (the disk tier additionally versions its container format; see
+// cache.DiskSchemaVersion). Version 2: the lean divider encoding and
+// last-model answers in the SAT core.
+const entrySchemaVersion = 2
 
 // optionsFingerprint renders every result-affecting checker option in
 // a canonical, versioned form. Each core.Options and core.Flags field
