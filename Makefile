@@ -3,12 +3,16 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet staticcheck vulncheck invariants test race stackd-race fleet-race ssa-differential cache-identity bench-smoke bench bench-json bench-gate fuzz-smoke service-smoke cover race-cover ci
+.PHONY: all build fmt-check vet staticcheck vulncheck invariants test race stackd-race fleet-race ssa-differential cache-identity bench-smoke bench bench-json bench-gate fuzz-smoke service-smoke cover race-cover ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Fails when any Go file is not gofmt-formatted, listing the files.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -138,4 +142,4 @@ race-cover:
 	$(GO) test -race -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-ci: vet staticcheck vulncheck invariants build race-cover fleet-race ssa-differential cache-identity bench-smoke bench-gate fuzz-smoke service-smoke
+ci: fmt-check vet staticcheck vulncheck invariants build race-cover fleet-race ssa-differential cache-identity bench-smoke bench-gate fuzz-smoke service-smoke

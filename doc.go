@@ -88,9 +88,10 @@
 // so the bit-vector layer hash-conses duplicated computation chains
 // instead of re-blasting them per opaque load — Stats gains
 // promotedAllocas, eliminatedStores, gvnHits, sccpFoldedValues,
-// sccpFoldedBranches, sccpUnreachableBlocks, crossBlockGvnHits,
-// hoistedUbTerms, and domOrderedSkips (omitted from the JSON trailer
-// when zero, keeping legacy bytes unchanged). The default is
+// sccpFoldedBranches, sccpUnreachableBlocks, sccpSharpened,
+// crossBlockGvnHits, hoistedUbTerms, domOrderedSkips, and
+// ssaSharpened (omitted from the JSON trailer when zero, keeping
+// legacy bytes unchanged). The default is
 // differentially gated: sweep output with SSA on is byte-identical
 // to the legacy pipeline on the archive corpus (raced across worker
 // counts and both sink modes), per-pass fuzz oracles enforce each
@@ -125,6 +126,18 @@
 // be a correctness bug, so both a reflection test and
 // scripts/invariants.sh fail unless every core.Options field is named
 // in the fingerprint.
+//
+// # Effort counters
+//
+// Every effort counter is declared once, as a field of core.Counters.
+// Its tags carry its JSON key and its Prometheus name and help text.
+// core.Stats and both sweep results embed the struct, stack.Stats is
+// an alias of it, and Counters.Add and the /metrics Prometheus writer
+// loop over its fields. Adding a counter therefore means one
+// core.Counters field with its tags, plus the line that increments
+// it; it then reaches stack.Stats, the ?stats=1 trailer, sweep totals,
+// and /metrics unchanged. scripts/invariants.sh refuses a struct in
+// stack/, internal/corpus/ or cmd/ that re-declares a counter by hand.
 //
 // # Commands
 //

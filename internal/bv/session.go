@@ -198,7 +198,7 @@ func (s *Session) LearntsDropped() int64 {
 
 // ModelReuses returns the queries the incremental SAT core answered
 // from its previous model without search (see sat.Solver.SolveAssuming).
-// It exists for tests and is deliberately not a core.Stats counter. A
+// It exists for tests and is deliberately not a core.Counters field. A
 // Scratch session never reuses: each query's solver starts empty.
 func (s *Session) ModelReuses() int64 {
 	if s.inc == nil {

@@ -18,6 +18,29 @@ type CachedFile struct {
 	Reports   []*core.Report
 }
 
+// CachedFileOf is the entry to store for one freshly analyzed source:
+// its reports plus the shape delta the checker's stats gained between
+// before and after analyzing it — exactly what a hit must replay.
+func CachedFileOf(before, after core.Stats, reports []*core.Report) CachedFile {
+	return CachedFile{
+		Functions: after.Functions - before.Functions,
+		Blocks:    after.Blocks - before.Blocks,
+		Reports:   reports,
+	}
+}
+
+// Replay folds one cache hit into st: the hit counter plus the
+// program-shape counters the checker would have accumulated. Effort
+// counters stay zero — the hit did no solver work.
+func (cf CachedFile) Replay(st *core.Stats) {
+	st.CacheResultHits++
+	st.Functions += cf.Functions
+	st.Blocks += cf.Blocks
+	for _, r := range cf.Reports {
+		st.ReportsByAlgo[r.Algo]++
+	}
+}
+
 // ResultCache answers whole per-file analyses by source content. The
 // sweep consults it per file before the frontend runs; a hit skips
 // every stage and the cached reports flow through the in-order emitter

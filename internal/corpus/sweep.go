@@ -105,59 +105,20 @@ type SweepResult struct {
 	Packages            int
 	PackagesWithReports int
 	Files               int
-	Functions           int
 	Reports             int
 	ReportsByAlgo       map[core.Algo]int
 	ReportsByKind       map[core.UBKind]int
 	MinSetHistogram     map[int]int
-	Queries             int64
-	Timeouts            int64
 	BuildTime           time.Duration // frontend + IR construction, summed over workers
 	AnalysisTime        time.Duration // solver-based checking, summed over workers
-	// RewriteHits / TermsCreated / FastPaths surface the word-level
-	// rewrite layer (see internal/bv/rewrite.go).
-	RewriteHits  int64
-	TermsCreated int64
-	FastPaths    int64
-	// TermsBlasted / BlastPasses / LearntsReused surface the
-	// incremental solving sessions (see bv.Session): terms lowered to
-	// CNF, queries that lowered anything new, and learned clauses
-	// already retained when each query began.
-	TermsBlasted  int64
-	BlastPasses   int64
-	LearntsReused int64
-	// CacheHits counts term constructions answered from the builder's
-	// hash-consing table — chains the canonicalizer folded onto an
-	// existing node count here. LearntsDropped counts learned clauses
-	// discarded by database reductions and session budget trims.
-	// ArenaBytesReused counts bytes the term arenas served from recycled
-	// slabs instead of fresh heap allocations.
-	CacheHits        int64
-	LearntsDropped   int64
-	ArenaBytesReused int64
-	// The SSA pass stack and the dominator-ordered elimination walk
-	// (ir.RunSSAPasses, core.Options.SSA; all zero with SSA off). Like
-	// ArenaBytesReused these are deliberately absent from Format():
-	// they track solver-side effort, not analysis results, and the text
-	// block stays byte-identical between the SSA and legacy pipelines.
-	PromotedAllocas       int64
-	EliminatedStores      int64
-	GVNHits               int64
-	SCCPFoldedValues      int64
-	SCCPFoldedBranches    int64
-	SCCPUnreachableBlocks int64
-	CrossBlockGVNHits     int64
-	HoistedUBTerms        int64
-	DomOrderedSkips       int64
-	// CacheResultHits / CacheResultMisses count files answered whole
-	// from the Sweeper.Cache result cache versus analyzed for real.
-	// Both are zero without a configured cache. Like ArenaBytesReused
-	// they are deliberately absent from Format(): whether a result came
-	// from the cache is an operational fact, not an analysis result,
-	// and the text block stays byte-identical between cold and warm
-	// runs.
-	CacheResultHits   int64
-	CacheResultMisses int64
+	// Counters are the merged per-worker checker counters (Functions
+	// counts every function of every file, cache hits included).
+	// Format() prints only the deterministic solver-effort subset; the
+	// SSA pass counters, ArenaBytesReused and the result-cache traffic
+	// are deliberately absent there, so the text block stays
+	// byte-identical across worker counts, between the SSA and legacy
+	// pipelines, and between cold and warm runs.
+	core.Counters
 	// ReportLog lists every report with its file, sorted by file, then
 	// position, then algorithm — the deterministic flat view of the
 	// sweep, independent of worker count and scheduling.
@@ -343,16 +304,7 @@ func (s *Sweeper) runPipeline(ctx context.Context, pkgs []Package, workers int, 
 				t0 := time.Now()
 				if s.Cache != nil {
 					if cf, ok := s.Cache.Lookup(j.name, j.src); ok {
-						// Replay the program-shape counters the checker
-						// would have accumulated; effort counters stay
-						// zero because no solver work happened.
-						cs := &cacheStats[w]
-						cs.CacheResultHits++
-						cs.Functions += cf.Functions
-						cs.Blocks += cf.Blocks
-						for _, r := range cf.Reports {
-							cs.ReportsByAlgo[r.Algo]++
-						}
+						cf.Replay(&cacheStats[w])
 						deliver(fileResult{
 							idx:       j.idx,
 							pkgIdx:    j.pkgIdx,
@@ -403,15 +355,8 @@ func (s *Sweeper) runPipeline(ctx context.Context, pkgs []Package, workers int, 
 				}
 				if s.Cache != nil {
 					// Every built unit is a cache miss (hits never reach
-					// this stage), so store the finished analysis. The
-					// shape deltas come from the checker's own books —
-					// exactly what a warm hit must replay.
-					after := checker.Stats()
-					s.Cache.Store(u.name, u.src, CachedFile{
-						Functions: after.Functions - before.Functions,
-						Blocks:    after.Blocks - before.Blocks,
-						Reports:   reports,
-					})
+					// this stage), so store the finished analysis.
+					s.Cache.Store(u.name, u.src, CachedFileOf(before, checker.Stats(), reports))
 				}
 				deliver(fileResult{
 					idx:          u.idx,
@@ -470,7 +415,6 @@ func newAccumulator(pkgs []Package) *accumulator {
 func (a *accumulator) add(fr fileResult) {
 	res := a.res
 	res.Files++
-	res.Functions += fr.funcs
 	res.BuildTime += fr.buildTime
 	res.AnalysisTime += fr.analysisTime
 	res.Reports += len(fr.reports)
@@ -498,32 +442,9 @@ func (a *accumulator) finish(workerStats []core.Stats) *SweepResult {
 			res.PackagesWithReports++
 		}
 	}
-	var st core.Stats
 	for _, ws := range workerStats {
-		st.Add(ws)
+		res.Counters.Add(ws.Counters)
 	}
-	res.Queries = st.Queries
-	res.Timeouts = st.Timeouts
-	res.RewriteHits = st.RewriteHits
-	res.TermsCreated = st.TermsCreated
-	res.FastPaths = st.FastPaths
-	res.TermsBlasted = st.TermsBlasted
-	res.BlastPasses = st.BlastPasses
-	res.LearntsReused = st.LearntsReused
-	res.CacheHits = st.CacheHits
-	res.LearntsDropped = st.LearntsDropped
-	res.ArenaBytesReused = st.ArenaBytesReused
-	res.PromotedAllocas = st.PromotedAllocas
-	res.EliminatedStores = st.EliminatedStores
-	res.GVNHits = st.GVNHits
-	res.SCCPFoldedValues = st.SCCPFoldedValues
-	res.SCCPFoldedBranches = st.SCCPFoldedBranches
-	res.SCCPUnreachableBlocks = st.SCCPUnreachableBlocks
-	res.CrossBlockGVNHits = st.CrossBlockGVNHits
-	res.HoistedUBTerms = st.HoistedUBTerms
-	res.DomOrderedSkips = st.DomOrderedSkips
-	res.CacheResultHits = st.CacheResultHits
-	res.CacheResultMisses = st.CacheResultMisses
 
 	sort.SliceStable(res.ReportLog, func(i, j int) bool {
 		a, b := res.ReportLog[i], res.ReportLog[j]

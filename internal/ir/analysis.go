@@ -35,7 +35,7 @@ package ir
 
 // PassStats aggregates what one RunSSAPasses invocation did. Every
 // pass registered in RunSSAPasses surfaces at least one counter here;
-// scripts/invariants.sh enforces that each counter reaches core.Stats
+// scripts/invariants.sh enforces that each counter reaches core.Counters
 // and that each pass has a differential oracle.
 type PassStats struct {
 	PromotedAllocas  int

@@ -27,13 +27,23 @@
 #      instead of a latent correctness bug.
 #
 #   4. Accounted SSA passes. Every pass invoked by ir.RunSSAPasses must
-#      be registered here with a core.Stats counter that exists in the
-#      Stats struct and a differential fuzz oracle that exists in the
-#      test sources. An optimizing pass without a counter is invisible
+#      be registered here with a counter that exists in core.Counters
+#      (the one counter table) and a differential fuzz oracle that
+#      exists in the test sources. An optimizing pass without a counter is invisible
 #      in production stats; one without a differential oracle can
 #      miscompile silently (the SCCP/exec phi-prefix bug was caught by
 #      exactly such an oracle). Adding a pass to RunSSAPasses without
 #      registering both is a CI failure.
+#
+#   5. One counter table. core.Counters is the only declaration of the
+#      checker's effort counters; every surface (stack.Stats, the sweep
+#      results, /metrics) embeds, aliases, or renders it. A non-test
+#      struct under stack/, internal/corpus/ or cmd/ that declares a
+#      field named like a core.Counters field is a hand-made copy — the
+#      way SCCPSharpened once went missing from three of six copies —
+#      and fails. Functions and Blocks are exempt: the result-cache
+#      entry (corpus.CachedFile and its codec) carries the program shape
+#      it replays under those names.
 #
 # Usage:
 #   scripts/invariants.sh              # check the repository
@@ -142,8 +152,7 @@ check_fingerprint() {
 
 # check_ssa_passes IR_FILE CORE_FILE TEST_ROOT — every pass invoked in
 # the body of RunSSAPasses (IR_FILE) must have a registry row below
-# mapping it to a core.Stats counter (present in CORE_FILE's Stats
-# struct) and a differential fuzz oracle (a Fuzz* function present in
+# mapping it to a counter (present in CORE_FILE's Counters struct) and a differential fuzz oracle (a Fuzz* function present in
 # the _test.go sources under TEST_ROOT).
 check_ssa_passes() {
 	local ir_file="$1" core_file="$2" test_root="$3" bad=0 pass counter oracle row
@@ -151,7 +160,7 @@ check_ssa_passes() {
 		echo "invariants: FAIL: missing $ir_file or $core_file" >&2
 		return 1
 	fi
-	# Registry: pass function -> core.Stats counter -> differential
+	# Registry: pass function -> core.Counters counter -> differential
 	# oracle. PromoteAllocas and DSE predate the per-pass exec fuzzers
 	# and are covered by the end-to-end byte-identity oracle.
 	local table="PromoteAllocas PromotedAllocas FuzzSSADifferential
@@ -171,7 +180,11 @@ HoistLoopInvariantUB HoistedUBTerms FuzzHoistDifferential"
 		return 1
 	fi
 	local stats_fields
-	stats_fields="$(struct_fields "$core_file" Stats)"
+	stats_fields="$(struct_fields "$core_file" Counters)"
+	if [ -z "$stats_fields" ]; then
+		echo "invariants: FAIL: no Counters fields parsed from $core_file" >&2
+		return 1
+	fi
 	while IFS= read -r pass; do
 		row="$(printf '%s\n' "$table" | awk -v p="$pass" '$1 == p')"
 		if [ -z "$row" ]; then
@@ -182,7 +195,7 @@ HoistLoopInvariantUB HoistedUBTerms FuzzHoistDifferential"
 		counter="$(printf '%s' "$row" | awk '{print $2}')"
 		oracle="$(printf '%s' "$row" | awk '{print $3}')"
 		if ! printf '%s\n' "$stats_fields" | grep -qx "$counter"; then
-			echo "invariants: FAIL: SSA pass $pass counter $counter missing from core.Stats in $core_file" >&2
+			echo "invariants: FAIL: SSA pass $pass counter $counter missing from core.Counters in $core_file" >&2
 			bad=1
 		fi
 		if ! grep -rqE "func $oracle\(" --include='*_test.go' "$test_root"; then
@@ -192,6 +205,52 @@ HoistLoopInvariantUB HoistedUBTerms FuzzHoistDifferential"
 	done <<<"$invoked"
 	[ "$bad" -eq 0 ] || return 1
 	echo "invariants: ok: every SSA pass has a stats counter and a differential oracle"
+}
+
+# check_counter_decls COUNTERS_FILE ROOT — no non-test struct under
+# ROOT/stack, ROOT/internal/corpus or ROOT/cmd declares a field named
+# like a core.Counters field (Functions and Blocks exempt).
+check_counter_decls() {
+	local counters_file="$1" root="$2" counters hits dir
+	counters="$(struct_fields "$counters_file" Counters | grep -vxE 'Functions|Blocks' || true)"
+	if [ -z "$counters" ]; then
+		echo "invariants: FAIL: no Counters fields parsed from $counters_file" >&2
+		return 1
+	fi
+	hits=""
+	for dir in stack internal/corpus cmd; do
+		[ -d "$root/$dir" ] || continue
+		# Field names declared in multi-line struct bodies, as
+		# FILE:LINE: NAME (one line per name of `A, B int64`).
+		hits+="$(go_sources "$root/$dir" | xargs -r awk '
+			FNR == 1 { depth = 0 }
+			depth == 0 && /struct[[:space:]]*\{[[:space:]]*$/ { depth = 1; next }
+			depth > 0 {
+				line = $0
+				sub(/\/\/.*/, "", line)
+				sub(/^[ \t]+/, "", line)
+				gsub(/,[ \t]+/, ",", line)
+				if (depth == 1 && split(line, w, /[ \t]+/) >= 2 && w[1] ~ /^[A-Z][A-Za-z0-9_,]*$/) {
+					n = split(w[1], parts, ",")
+					for (i = 1; i <= n; i++) {
+						print FILENAME ":" FNR ": " parts[i]
+					}
+				}
+				depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+			}
+		')"$'\n'
+	done
+	local bad
+	bad="$(printf '%s' "$hits" | awk -v list="$counters" '
+		BEGIN { n = split(list, c, "\n"); for (i = 1; i <= n; i++) want[c[i]] = 1 }
+		NF && ($NF in want)
+	')"
+	if [ -n "$bad" ]; then
+		printf '%s\n' "$bad" >&2
+		echo "invariants: FAIL: effort counter re-declared outside core.Counters (embed or alias core.Counters instead)" >&2
+		return 1
+	fi
+	echo "invariants: ok: one counter table (core.Counters)"
 }
 
 self_test() {
@@ -298,7 +357,7 @@ self_test() {
 	fi
 
 	# An unregistered pass in RunSSAPasses must fail; a registered pass
-	# whose counter is absent from core.Stats must fail; the registered
+	# whose counter is absent from core.Counters must fail; the registered
 	# pass with counter and oracle in place must pass.
 	mkdir -p "$tmp/f/ir" "$tmp/f/core" "$tmp/f/tests"
 	cat >"$tmp/f/ir/rogue.go" <<-'EOF'
@@ -320,16 +379,16 @@ self_test() {
 	cat >"$tmp/f/core/bare.go" <<-'EOF'
 		package core
 
-		type Stats struct {
-			Queries int64
+		type Counters struct {
+			Queries int64 `json:"queries"`
 		}
 	EOF
 	cat >"$tmp/f/core/counted.go" <<-'EOF'
 		package core
 
-		type Stats struct {
-			Queries          int64
-			SCCPFoldedValues int64
+		type Counters struct {
+			Queries          int64 `json:"queries"`
+			SCCPFoldedValues int64 `json:"sccpFoldedValues,omitempty"`
 		}
 	EOF
 	cat >"$tmp/f/tests/oracle_test.go" <<-'EOF'
@@ -350,10 +409,64 @@ self_test() {
 		pass=1
 	fi
 
+	# A struct outside core that re-declares an effort counter must
+	# fail, also as the second name of a multi-name field; the
+	# shape-only cache entry (Functions, Blocks) and the same counter
+	# name inside internal/core must pass.
+	mkdir -p "$tmp/g/internal/core" "$tmp/g/stack" "$tmp/g/internal/corpus"
+	cat >"$tmp/g/internal/core/counters.go" <<-'EOF'
+		package core
+
+		type Counters struct {
+			Functions    int   `json:"functions"`
+			Blocks       int   `json:"blocks"`
+			Queries      int64 `json:"queries"`
+			SSASharpened int64 `json:"ssaSharpened,omitempty"`
+		}
+	EOF
+	cat >"$tmp/g/internal/corpus/cache.go" <<-'EOF'
+		package corpus
+
+		// CachedFile carries the shape a hit replays.
+		type CachedFile struct {
+			Functions int
+			Blocks    int
+			Reports   []*core.Report
+		}
+	EOF
+	if ! check_counter_decls "$tmp/g/internal/core/counters.go" "$tmp/g" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: shape-only cache entry rejected" >&2
+		pass=1
+	fi
+	cat >"$tmp/g/stack/sweep.go" <<-'EOF'
+		package stack
+
+		type SweepResult struct {
+			Files int `json:"files"`
+			Queries int64 `json:"queries"`
+		}
+	EOF
+	if check_counter_decls "$tmp/g/internal/core/counters.go" "$tmp/g" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: re-declared counter Queries not detected" >&2
+		pass=1
+	fi
+	cat >"$tmp/g/stack/sweep.go" <<-'EOF'
+		package stack
+
+		type SweepResult struct {
+			Files               int
+			Reports, SSASharpened int64
+		}
+	EOF
+	if check_counter_decls "$tmp/g/internal/core/counters.go" "$tmp/g" >/dev/null 2>&1; then
+		echo "invariants: SELF-TEST FAIL: re-declared counter SSASharpened (multi-name field) not detected" >&2
+		pass=1
+	fi
+
 	if [ "$pass" -ne 0 ]; then
 		return 1
 	fi
-	echo "invariants: self-test ok (9 cases)"
+	echo "invariants: self-test ok (12 cases)"
 }
 
 if [ "${1:-}" = "--self-test" ]; then
@@ -364,4 +477,5 @@ fi
 check_one_emitter "$ROOT"
 check_codes "$ROOT" "$ROOT/scripts/codes.manifest"
 check_fingerprint "$ROOT/internal/core/checker.go" "$ROOT/stack/cachekey.go"
-check_ssa_passes "$ROOT/internal/ir/analysis.go" "$ROOT/internal/core/checker.go" "$ROOT/internal"
+check_ssa_passes "$ROOT/internal/ir/analysis.go" "$ROOT/internal/core/counters.go" "$ROOT/internal"
+check_counter_decls "$ROOT/internal/core/counters.go" "$ROOT"

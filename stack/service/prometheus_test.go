@@ -90,6 +90,44 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 }
 
+// TestMetricsSharpeningCounters: the SSA and SCCP sharpening counters
+// of served requests reach /metrics. The source guards a dead region
+// with a loop-carried constant only SCCP's lattice proves.
+func TestMetricsSharpeningCounters(t *testing.T) {
+	srv := newTestServer(Options{})
+	src := `
+int sccp(int n, int a, int b) {
+	int flag = 0;
+	int dead = 0;
+	int s = a;
+	int i = 0;
+	do {
+		s = s + b;
+		if (flag)
+			dead = dead + b / n;
+		i = i + 1;
+	} while (i < n);
+	return s + dead;
+}
+`
+	reqBody, _ := json.Marshal(map[string]string{"name": "sccp.c", "source": src})
+	if w := doJSON(t, srv, http.MethodPost, "/v1/analyze", string(reqBody)); w.Code != http.StatusOK {
+		t.Fatalf("analyze: status %d: %s", w.Code, w.Body)
+	}
+	body := doJSON(t, srv, http.MethodGet, "/metrics?format=prometheus", "").Body.String()
+	for _, name := range []string{"stackd_solver_ssa_sharpened_total", "stackd_solver_sccp_sharpened_total"} {
+		var v string
+		for _, line := range strings.Split(body, "\n") {
+			if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+				v = f[1]
+			}
+		}
+		if v == "" || v == "0" {
+			t.Errorf("%s = %q after a sharpening request, want nonzero", name, v)
+		}
+	}
+}
+
 // TestMetricsNoCacheOmitsSection: without a cache the JSON snapshot
 // omits resultCache and the Prometheus output has no cache metrics.
 func TestMetricsNoCacheOmitsSection(t *testing.T) {

@@ -25,6 +25,25 @@ int walk(char *buf, char *buf_end, unsigned int len) {
 }
 `
 
+// sccpSrc guards a dead region with a loop-carried constant: only
+// SCCP's optimistic meet over executable edges proves flag stays 0,
+// so the pass sharpens beyond the rewrite layer.
+const sccpSrc = `
+int sccp(int n, int a, int b) {
+	int flag = 0;
+	int dead = 0;
+	int s = a;
+	int i = 0;
+	do {
+		s = s + b;
+		if (flag)
+			dead = dead + b / n;
+		i = i + 1;
+	} while (i < n);
+	return s + dead;
+}
+`
+
 // TestWithSSAIdenticalDiagnostics: SSA is the default; turning it off
 // (the legacy reference pipeline) must not change any diagnostic —
 // same files, same codes, same rendered text.
@@ -78,6 +97,14 @@ func TestWithSSAStatsTrailer(t *testing.T) {
 		t.Error("SSASharpened = 0 though promotion fired")
 	}
 
+	sharp, err := New().CheckSource(context.Background(), "sccp.c", sccpSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, _ := json.Marshal(sharp.Stats); !strings.Contains(string(raw), `"sccpSharpened":`) {
+		t.Errorf("default stats trailer lacks sccpSharpened on a sharpening source: %s", raw)
+	}
+
 	legacy, err := New(WithSSA(false)).CheckSource(context.Background(), "ssa.c", ssaRichSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -90,10 +117,43 @@ func TestWithSSAStatsTrailer(t *testing.T) {
 		"promotedAllocas", "eliminatedStores", "gvnHits",
 		"sccpFoldedValues", "sccpFoldedBranches", "sccpUnreachableBlocks",
 		"crossBlockGvnHits", "hoistedUbTerms", "domOrderedSkips",
-		"ssaSharpened",
+		"ssaSharpened", "sccpSharpened",
 	} {
 		if strings.Contains(string(raw), key) {
 			t.Errorf("WithSSA(false) stats trailer leaks %q: %s", key, raw)
+		}
+	}
+}
+
+// TestSharpeningCountersReachSweeps: the two sharpening counters reach
+// the per-source stats and both sweep results — the public
+// stack.SweepResult and the internal corpus.SweepResult behind
+// Format(). SSASharpened is the key the SSA contract rests on.
+func TestSharpeningCountersReachSweeps(t *testing.T) {
+	for _, tc := range []struct {
+		counter, src string
+		get          func(Stats) int64
+	}{
+		{"SSASharpened", ssaRichSrc, func(s Stats) int64 { return s.SSASharpened }},
+		{"SCCPSharpened", sccpSrc, func(s Stats) int64 { return s.SCCPSharpened }},
+	} {
+		az := New(WithWorkers(2))
+		one, err := az.CheckSource(context.Background(), "t.c", tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.get(one.Stats) == 0 {
+			t.Errorf("%s = 0 in CheckSource stats", tc.counter)
+		}
+		res, err := az.Sweep(context.Background(), []Package{{Name: "p", Files: []string{tc.src, tc.src}}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tc.get(res.Stats), 2*tc.get(one.Stats); got != want {
+			t.Errorf("%s = %d in stack.SweepResult, want %d", tc.counter, got, want)
+		}
+		if got, want := tc.get(res.inner.Counters), 2*tc.get(one.Stats); got != want {
+			t.Errorf("%s = %d in corpus.SweepResult, want %d", tc.counter, got, want)
 		}
 	}
 }

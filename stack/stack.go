@@ -223,94 +223,11 @@ func WithCompilerEnv(env CompilerEnv) Option {
 }
 
 // Stats aggregates analysis effort: the quantities of the paper's
-// Figure 16 plus the counters of the rewrite and incremental-solving
-// layers.
-type Stats struct {
-	Functions     int   `json:"functions"`
-	Blocks        int   `json:"blocks"`
-	Queries       int64 `json:"queries"`
-	Timeouts      int64 `json:"timeouts"`
-	RewriteHits   int64 `json:"rewriteHits"`
-	TermsCreated  int64 `json:"termsCreated"`
-	FastPaths     int64 `json:"fastPaths"`
-	TermsBlasted  int64 `json:"termsBlasted"`
-	BlastPasses   int64 `json:"blastPasses"`
-	LearntsReused int64 `json:"learntsReused"`
-	// CacheHits counts term constructions answered from the builder's
-	// hash-consing table (commuted chains canonicalize onto one node);
-	// LearntsDropped counts learned clauses discarded by database
-	// reductions and budget trims; ArenaBytesReused counts bytes served
-	// from recycled term-arena slabs instead of fresh allocations.
-	CacheHits        int64 `json:"cacheHits"`
-	LearntsDropped   int64 `json:"learntsDropped"`
-	ArenaBytesReused int64 `json:"arenaBytesReused"`
-	// SSA pass counters (all zero under WithSSA(false)):
-	// PromotedAllocas counts address-taken variables mem2reg rewrote
-	// into SSA values, EliminatedStores counts stores removed by
-	// promotion and dead-store elimination, GVNHits counts values
-	// merged into a structurally identical representative in the same
-	// block, SCCPFoldedValues / SCCPFoldedBranches /
-	// SCCPUnreachableBlocks count what sparse conditional constant
-	// propagation proved, CrossBlockGVNHits counts merges into a
-	// dominating block's representative, HoistedUBTerms counts
-	// UB-carrying instructions hoisted out of loop headers, and
-	// DomOrderedSkips counts elimination queries skipped because a
-	// dominated block's satisfiable verdict implied them.
-	PromotedAllocas       int64 `json:"promotedAllocas,omitempty"`
-	EliminatedStores      int64 `json:"eliminatedStores,omitempty"`
-	GVNHits               int64 `json:"gvnHits,omitempty"`
-	SCCPFoldedValues      int64 `json:"sccpFoldedValues,omitempty"`
-	SCCPFoldedBranches    int64 `json:"sccpFoldedBranches,omitempty"`
-	SCCPUnreachableBlocks int64 `json:"sccpUnreachableBlocks,omitempty"`
-	CrossBlockGVNHits     int64 `json:"crossBlockGvnHits,omitempty"`
-	HoistedUBTerms        int64 `json:"hoistedUbTerms,omitempty"`
-	DomOrderedSkips       int64 `json:"domOrderedSkips,omitempty"`
-	// SSASharpened counts functions where a pass proved a fact beyond
-	// the encoding layer's rewrite rules. When absent, the run's output
-	// is guaranteed byte-identical to WithSSA(false) — the key the
-	// differential fuzz oracle and the soak recipe in EXPERIMENTS.md
-	// both gate on.
-	SSASharpened int64 `json:"ssaSharpened,omitempty"`
-	// Result-cache traffic (all zero unless WithCache is configured):
-	// CacheResultHits counts sources answered whole from the cache —
-	// frontend, IR, and solver all skipped — CacheResultMisses counts
-	// sources analyzed for real. On a hit the shape counters
-	// (Functions, Blocks) replay from the cached entry while the effort
-	// counters (Queries, TermsBlasted, ...) stay untouched: a warm run
-	// genuinely does no solver work.
-	CacheResultHits   int64 `json:"cacheResultHits,omitempty"`
-	CacheResultMisses int64 `json:"cacheResultMisses,omitempty"`
-}
-
-func statsOf(st core.Stats) Stats {
-	return Stats{
-		Functions:         st.Functions,
-		Blocks:            st.Blocks,
-		Queries:           st.Queries,
-		Timeouts:          st.Timeouts,
-		RewriteHits:       st.RewriteHits,
-		TermsCreated:      st.TermsCreated,
-		FastPaths:         st.FastPaths,
-		TermsBlasted:      st.TermsBlasted,
-		BlastPasses:       st.BlastPasses,
-		LearntsReused:     st.LearntsReused,
-		CacheHits:         st.CacheHits,
-		LearntsDropped:    st.LearntsDropped,
-		ArenaBytesReused:  st.ArenaBytesReused,
-		PromotedAllocas:       st.PromotedAllocas,
-		EliminatedStores:      st.EliminatedStores,
-		GVNHits:               st.GVNHits,
-		SCCPFoldedValues:      st.SCCPFoldedValues,
-		SCCPFoldedBranches:    st.SCCPFoldedBranches,
-		SCCPUnreachableBlocks: st.SCCPUnreachableBlocks,
-		CrossBlockGVNHits:     st.CrossBlockGVNHits,
-		HoistedUBTerms:        st.HoistedUBTerms,
-		DomOrderedSkips:       st.DomOrderedSkips,
-		SSASharpened:          st.SSASharpened,
-		CacheResultHits:       st.CacheResultHits,
-		CacheResultMisses:     st.CacheResultMisses,
-	}
-}
+// Figure 16 plus the counters of the rewrite, incremental-solving, SSA
+// and result-cache layers. It is the checker's own counter table (see
+// core.Counters for each field); its json tags are the public stats
+// keys.
+type Stats = core.Counters
 
 // Result is one input's finished analysis.
 type Result struct {
@@ -348,11 +265,11 @@ func (a *Analyzer) CheckSource(ctx context.Context, name, src string) (*Result, 
 	if a.cache != nil {
 		if cf, ok := a.cache.Lookup(name, src); ok {
 			var st core.Stats
-			replayCacheHit(&st, cf)
+			cf.Replay(&st)
 			return &Result{
 				File:        name,
 				Diagnostics: diagnosticsOf(cf.Reports),
-				Stats:       statsOf(st),
+				Stats:       st.Counters,
 			}, nil
 		}
 	}
@@ -364,29 +281,13 @@ func (a *Analyzer) CheckSource(ctx context.Context, name, src string) (*Result, 
 	st := checker.Stats()
 	if a.cache != nil {
 		st.CacheResultMisses = 1
-		a.cache.Store(name, src, corpus.CachedFile{
-			Functions: st.Functions,
-			Blocks:    st.Blocks,
-			Reports:   reports,
-		})
+		a.cache.Store(name, src, corpus.CachedFileOf(core.Stats{}, st, reports))
 	}
 	return &Result{
 		File:        name,
 		Diagnostics: diagnosticsOf(reports),
-		Stats:       statsOf(st),
+		Stats:       st.Counters,
 	}, nil
-}
-
-// replayCacheHit folds one cache hit into st: the hit counter plus the
-// program-shape counters the checker would have accumulated. Effort
-// counters stay zero — the hit did no solver work.
-func replayCacheHit(st *core.Stats, cf corpus.CachedFile) {
-	st.CacheResultHits++
-	st.Functions += cf.Functions
-	st.Blocks += cf.Blocks
-	for _, r := range cf.Reports {
-		st.ReportsByAlgo[r.Algo]++
-	}
 }
 
 // CheckFile reads path and analyzes it as a C source.
@@ -476,7 +377,7 @@ func (a *Analyzer) CheckSources(ctx context.Context, srcs []Source, emit func(Fi
 				}
 				if a.cache != nil {
 					if cf, ok := a.cache.Lookup(srcs[i].Name, srcs[i].Text); ok {
-						replayCacheHit(&cacheStats[w], cf)
+						cf.Replay(&cacheStats[w])
 						ord.Put(i, outcome{diags: diagnosticsOf(cf.Reports)})
 						continue
 					}
@@ -495,12 +396,7 @@ func (a *Analyzer) CheckSources(ctx context.Context, srcs []Source, emit func(Fi
 					continue
 				}
 				if a.cache != nil {
-					after := checker.Stats()
-					a.cache.Store(srcs[i].Name, srcs[i].Text, corpus.CachedFile{
-						Functions: after.Functions - before.Functions,
-						Blocks:    after.Blocks - before.Blocks,
-						Reports:   reports,
-					})
+					a.cache.Store(srcs[i].Name, srcs[i].Text, corpus.CachedFileOf(before, checker.Stats(), reports))
 				}
 				ord.Put(i, outcome{diags: diagnosticsOf(reports)})
 			}
@@ -519,12 +415,9 @@ func (a *Analyzer) CheckSources(ctx context.Context, srcs []Source, emit func(Fi
 	wg.Wait()
 	ord.Close()
 
-	var st core.Stats
-	for _, ws := range workerStats {
-		st.Add(ws)
+	var st Stats
+	for _, ws := range append(workerStats, cacheStats...) {
+		st.Add(ws.Counters)
 	}
-	for _, cs := range cacheStats {
-		st.Add(cs)
-	}
-	return statsOf(st), firstErr
+	return st, firstErr
 }

@@ -17,23 +17,20 @@ type Package struct {
 
 // SweepResult summarizes a whole-archive run: the quantities of the
 // paper's Figures 16–18 evaluation. Everything except the timing
-// fields is deterministic — byte-identical for any worker count and
-// between streaming and buffered modes.
+// fields and ArenaBytesReused (allocator reuse, which depends on how
+// files fall to workers) is deterministic — identical for any worker
+// count and between streaming and buffered modes.
 type SweepResult struct {
-	Packages            int   `json:"packages"`
-	PackagesWithReports int   `json:"packagesWithReports"`
-	Files               int   `json:"files"`
-	Functions           int   `json:"functions"`
-	Reports             int   `json:"reports"`
-	Queries             int64 `json:"queries"`
-	Timeouts            int64 `json:"timeouts"`
-	// CacheResultHits / CacheResultMisses count files answered whole
-	// from the WithCache result cache versus analyzed for real; both
-	// are zero without a cache. They are operational counters, not
-	// analysis results, so Format() omits them and the text block stays
-	// byte-identical between cold and warm runs.
-	CacheResultHits   int64 `json:"cacheResultHits,omitempty"`
-	CacheResultMisses int64 `json:"cacheResultMisses,omitempty"`
+	Packages            int `json:"packages"`
+	PackagesWithReports int `json:"packagesWithReports"`
+	Files               int `json:"files"`
+	Reports             int `json:"reports"`
+	// Stats are the sweep's merged checker counters. Format() leaves
+	// out ArenaBytesReused, the SSA pass counters and the result-cache
+	// traffic, so its text block stays byte-identical across worker
+	// counts, between the SSA and legacy pipelines, and between cold
+	// and warm runs.
+	Stats
 	// BuildTime and AnalysisTime are wall-clock sums over workers.
 	BuildTime    time.Duration `json:"buildTimeNs"`
 	AnalysisTime time.Duration `json:"analysisTimeNs"`
@@ -107,12 +104,8 @@ func (a *Analyzer) Sweep(ctx context.Context, pkgs []Package, sink Sink) (*Sweep
 		Packages:            res.Packages,
 		PackagesWithReports: res.PackagesWithReports,
 		Files:               res.Files,
-		Functions:           res.Functions,
 		Reports:             res.Reports,
-		Queries:             res.Queries,
-		Timeouts:            res.Timeouts,
-		CacheResultHits:     res.CacheResultHits,
-		CacheResultMisses:   res.CacheResultMisses,
+		Stats:               res.Counters,
 		BuildTime:           res.BuildTime,
 		AnalysisTime:        res.AnalysisTime,
 		inner:               res,
